@@ -7,15 +7,26 @@
 #include "brahms/sampler.hpp"
 #include "core/node_factory.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "gossip/framework.hpp"
 #include "sim/engine.hpp"
 #include "wire/link_cipher.hpp"
+#include "wire/link_session.hpp"
 #include "wire/message.hpp"
 
 namespace {
 
 using namespace raptee;
+
+void BM_Sha256_64B(benchmark::State& state) {
+  std::vector<std::uint8_t> data(64, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::sha256(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_Sha256_64B);
 
 void BM_Sha256_1KiB(benchmark::State& state) {
   std::vector<std::uint8_t> data(1024, 0xAB);
@@ -40,6 +51,45 @@ void BM_AesCtr_1KiB(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_AesCtr_1KiB);
+
+/// A fingerprint-mode auth proof under a long-lived key, as
+/// KeyedAuthenticator computes it: the key's HMAC schedule is cached.
+void BM_HmacProof(benchmark::State& state) {
+  crypto::Drbg kg(5);
+  const crypto::HmacKey key(kg.generate_key().bytes());
+  crypto::AuthNonce a{}, b{};
+  kg.fill(a.data(), a.size());
+  kg.fill(b.data(), b.size());
+  for (auto _ : state) {
+    ++a[0];
+    benchmark::DoNotOptimize(brahms::auth_detail::mac_proof(key, "resp", a, b));
+  }
+}
+BENCHMARK(BM_HmacProof);
+
+void BM_DrbgFill(benchmark::State& state) {
+  crypto::Drbg drbg(6);
+  std::array<std::uint8_t, 32> out{};
+  for (auto _ : state) {
+    drbg.fill(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_DrbgFill);
+
+/// One link-session establishment: HKDF of the pair secret, then two
+/// LinkCipher key schedules (AES-256 and HMAC subkeys per direction).
+void BM_LinkSessionEstablish(benchmark::State& state) {
+  crypto::Drbg kg(7);
+  wire::LinkTable table(kg.generate_key());
+  std::uint64_t token = 0;
+  for (auto _ : state) {
+    wire::LinkSession& session = table.establish(NodeId{1}, NodeId{2}, ++token);
+    benchmark::DoNotOptimize(&session);
+  }
+}
+BENCHMARK(BM_LinkSessionEstablish);
 
 void BM_LinkCipher_SealOpen(benchmark::State& state) {
   crypto::Drbg kg(2);

@@ -8,9 +8,9 @@ namespace raptee::brahms {
 
 namespace auth_detail {
 
-crypto::AuthToken mac_proof(const crypto::SymmetricKey& key, const char* domain,
+crypto::AuthToken mac_proof(const crypto::HmacKey& key, const char* domain,
                             const crypto::AuthNonce& a, const crypto::AuthNonce& b) {
-  crypto::HmacSha256 mac(key.bytes().data(), key.bytes().size());
+  crypto::HmacSha256 mac(key);
   mac.update(domain);
   mac.update(a.data(), a.size());
   mac.update(b.data(), b.size());
@@ -18,6 +18,11 @@ crypto::AuthToken mac_proof(const crypto::SymmetricKey& key, const char* domain,
   crypto::AuthToken token{};
   std::memcpy(token.data(), d.data(), token.size());
   return token;
+}
+
+crypto::AuthToken mac_proof(const crypto::SymmetricKey& key, const char* domain,
+                            const crypto::AuthNonce& a, const crypto::AuthNonce& b) {
+  return mac_proof(crypto::HmacKey(key.bytes()), domain, a, b);
 }
 
 crypto::AuthToken oracle_proof(std::uint64_t fingerprint) {
@@ -47,7 +52,11 @@ using auth_detail::tokens_equal;
 
 KeyedAuthenticator::KeyedAuthenticator(AuthMode mode, crypto::SymmetricKey key,
                                        crypto::Drbg drbg)
-    : mode_(mode), key_(key), fingerprint_(key.fingerprint()), drbg_(std::move(drbg)) {}
+    : mode_(mode),
+      key_(key),
+      mac_key_(key.bytes()),
+      fingerprint_(key.fingerprint()),
+      drbg_(std::move(drbg)) {}
 
 crypto::AuthChallenge KeyedAuthenticator::make_challenge() {
   crypto::AuthChallenge challenge;
@@ -64,7 +73,7 @@ crypto::AuthResponse KeyedAuthenticator::make_response(
       response.proof_b = crypto::make_proof(key_, challenge.r_a, response.r_b);
       break;
     case AuthMode::kFingerprint:
-      response.proof_b = mac_proof(key_, "resp", challenge.r_a, response.r_b);
+      response.proof_b = mac_proof(mac_key_, "resp", challenge.r_a, response.r_b);
       break;
     case AuthMode::kOracle:
       response.proof_b = oracle_proof(fingerprint_);
@@ -85,8 +94,8 @@ bool KeyedAuthenticator::verify_response(const crypto::AuthChallenge& challenge,
       break;
     case AuthMode::kFingerprint:
       trusted = tokens_equal(response.proof_b,
-                             mac_proof(key_, "resp", challenge.r_a, response.r_b));
-      confirm.proof_a = mac_proof(key_, "init", response.r_b, challenge.r_a);
+                             mac_proof(mac_key_, "resp", challenge.r_a, response.r_b));
+      confirm.proof_a = mac_proof(mac_key_, "init", response.r_b, challenge.r_a);
       break;
     case AuthMode::kOracle:
       trusted = oracle_extract(response.proof_b) == fingerprint_;
@@ -105,7 +114,7 @@ bool KeyedAuthenticator::verify_confirm(const crypto::AuthChallenge& challenge,
       return crypto::check_proof(key_, response.r_b, challenge.r_a, confirm.proof_a);
     case AuthMode::kFingerprint:
       return tokens_equal(confirm.proof_a,
-                          mac_proof(key_, "init", response.r_b, challenge.r_a));
+                          mac_proof(mac_key_, "init", response.r_b, challenge.r_a));
     case AuthMode::kOracle:
       return oracle_extract(confirm.proof_a) == fingerprint_;
   }

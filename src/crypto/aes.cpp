@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "crypto/x86.hpp"
 
 namespace raptee::crypto {
 
@@ -75,32 +76,33 @@ Aes::Aes(const std::uint8_t* key, KeySize size) {
   rounds_ = (size == KeySize::k128) ? 10 : 14;
   const int total_words = 4 * (rounds_ + 1);
 
+  std::array<std::uint32_t, 60> words{};
   for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
-                     (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
-                     (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
-                     static_cast<std::uint32_t>(key[4 * i + 3]);
+    words[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
+               (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
+               (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
+               static_cast<std::uint32_t>(key[4 * i + 3]);
   }
   for (int i = nk; i < total_words; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
+    std::uint32_t temp = words[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^ kRcon[i / nk];
     } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    words[i] = words[i - nk] ^ temp;
+  }
+  for (int i = 0; i < total_words; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      round_keys_[4 * i + k] = static_cast<std::uint8_t>(words[i] >> (24 - 8 * k));
+    }
   }
 }
 
 namespace {
 
-void add_round_key(Block& s, const std::uint32_t* rk) {
-  for (int c = 0; c < 4; ++c) {
-    s[4 * c] ^= static_cast<std::uint8_t>(rk[c] >> 24);
-    s[4 * c + 1] ^= static_cast<std::uint8_t>(rk[c] >> 16);
-    s[4 * c + 2] ^= static_cast<std::uint8_t>(rk[c] >> 8);
-    s[4 * c + 3] ^= static_cast<std::uint8_t>(rk[c]);
-  }
+void add_round_key(Block& s, const std::uint8_t* rk) {
+  for (std::size_t i = 0; i < s.size(); ++i) s[i] ^= rk[i];
 }
 
 void sub_bytes(Block& s) {
@@ -148,32 +150,154 @@ void inv_mix_columns(Block& s) {
   }
 }
 
+/// SP 800-38A standard increment: the low 32 bits, big-endian, wrapping.
+void increment_counter(Block& counter) {
+  for (int i = 15; i >= 12; --i) {
+    if (++counter[i] != 0) break;
+  }
+}
+
+using EncryptFn = void (*)(const Aes&, Block&);
+using CtrFn = void (*)(const Aes&, Block&, std::uint8_t*, std::size_t);
+
+/// The process-wide AES path, chosen on first use.
+struct Path {
+  EncryptFn encrypt;
+  CtrFn ctr;
+};
+
+const Path& path() {
+  static const Path p = detail::cpu_has_aes_ni()
+                            ? Path{detail::aes_encrypt_aesni, detail::aes_ctr_aesni}
+                            : Path{detail::aes_encrypt_portable, detail::aes_ctr_portable};
+  return p;
+}
+
 }  // namespace
 
-void Aes::encrypt_block(Block& block) const {
-  add_round_key(block, &round_keys_[0]);
-  for (int round = 1; round < rounds_; ++round) {
+namespace detail {
+
+bool cpu_has_aes_ni() {
+#if RAPTEE_CRYPTO_X86
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+void aes_encrypt_portable(const Aes& aes, Block& block) {
+  const std::uint8_t* rk = aes.round_keys_.data();
+  add_round_key(block, rk);
+  for (int round = 1; round < aes.rounds_; ++round) {
     sub_bytes(block);
     shift_rows(block);
     mix_columns(block);
-    add_round_key(block, &round_keys_[4 * round]);
+    add_round_key(block, rk + 16 * round);
   }
   sub_bytes(block);
   shift_rows(block);
-  add_round_key(block, &round_keys_[4 * rounds_]);
+  add_round_key(block, rk + 16 * aes.rounds_);
 }
 
+void aes_ctr_portable(const Aes& aes, Block& counter, std::uint8_t* data,
+                      std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 16) {
+    Block keystream = counter;
+    aes_encrypt_portable(aes, keystream);
+    increment_counter(counter);
+    for (std::size_t i = 0; i < keystream.size(); ++i) data[i] ^= keystream[i];
+  }
+}
+
+#if RAPTEE_CRYPTO_X86
+using x86::load128;
+using x86::store128;
+
+__attribute__((target("aes"))) void aes_encrypt_aesni(const Aes& aes, Block& block) {
+  const std::uint8_t* rk = aes.round_keys_.data();
+  __m128i s = _mm_xor_si128(load128(block.data()), load128(rk));
+  for (int round = 1; round < aes.rounds_; ++round) {
+    s = _mm_aesenc_si128(s, load128(rk + 16 * round));
+  }
+  store128(block.data(), _mm_aesenclast_si128(s, load128(rk + 16 * aes.rounds_)));
+}
+
+/// The counter block for 32-bit counter value `ctr` under the nonce bytes
+/// of `prefix`: the low word is big-endian, as increment_counter counts.
+__attribute__((target("aes,sse4.1"))) inline __m128i counter_block(__m128i prefix,
+                                                                 std::uint32_t ctr) {
+  return _mm_insert_epi32(prefix, static_cast<int>(__builtin_bswap32(ctr)), 3);
+}
+
+__attribute__((target("aes,sse4.1"))) void aes_ctr_aesni(const Aes& aes, Block& counter,
+                                                         std::uint8_t* data,
+                                                         std::size_t nblocks) {
+  const int rounds = aes.rounds_;
+  const std::uint8_t* rk = aes.round_keys_.data();
+  const __m128i prefix = load128(counter.data());
+  std::uint32_t ctr = (static_cast<std::uint32_t>(counter[12]) << 24) |
+                      (static_cast<std::uint32_t>(counter[13]) << 16) |
+                      (static_cast<std::uint32_t>(counter[14]) << 8) |
+                      static_cast<std::uint32_t>(counter[15]);
+  // Four independent blocks per pass keep the AES unit's pipeline full.
+  for (; nblocks >= 4; nblocks -= 4, data += 64, ctr += 4) {
+    __m128i k = load128(rk);
+    __m128i s0 = _mm_xor_si128(counter_block(prefix, ctr), k);
+    __m128i s1 = _mm_xor_si128(counter_block(prefix, ctr + 1), k);
+    __m128i s2 = _mm_xor_si128(counter_block(prefix, ctr + 2), k);
+    __m128i s3 = _mm_xor_si128(counter_block(prefix, ctr + 3), k);
+    for (int round = 1; round < rounds; ++round) {
+      k = load128(rk + 16 * round);
+      s0 = _mm_aesenc_si128(s0, k);
+      s1 = _mm_aesenc_si128(s1, k);
+      s2 = _mm_aesenc_si128(s2, k);
+      s3 = _mm_aesenc_si128(s3, k);
+    }
+    k = load128(rk + 16 * rounds);
+    store128(data, _mm_xor_si128(_mm_aesenclast_si128(s0, k), load128(data)));
+    store128(data + 16, _mm_xor_si128(_mm_aesenclast_si128(s1, k), load128(data + 16)));
+    store128(data + 32, _mm_xor_si128(_mm_aesenclast_si128(s2, k), load128(data + 32)));
+    store128(data + 48, _mm_xor_si128(_mm_aesenclast_si128(s3, k), load128(data + 48)));
+  }
+  for (; nblocks > 0; --nblocks, data += 16, ++ctr) {
+    __m128i s = _mm_xor_si128(counter_block(prefix, ctr), load128(rk));
+    for (int round = 1; round < rounds; ++round) {
+      s = _mm_aesenc_si128(s, load128(rk + 16 * round));
+    }
+    s = _mm_aesenclast_si128(s, load128(rk + 16 * rounds));
+    store128(data, _mm_xor_si128(s, load128(data)));
+  }
+  for (int i = 0; i < 4; ++i) counter[12 + i] = static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
+}
+#else
+void aes_encrypt_aesni(const Aes& aes, Block& block) {
+  RAPTEE_REQUIRE(false, "AES-NI path called on a CPU without it");
+  aes_encrypt_portable(aes, block);
+}
+
+void aes_ctr_aesni(const Aes& aes, Block& counter, std::uint8_t* data, std::size_t nblocks) {
+  RAPTEE_REQUIRE(false, "AES-NI path called on a CPU without it");
+  aes_ctr_portable(aes, counter, data, nblocks);
+}
+#endif
+
+}  // namespace detail
+
+void Aes::encrypt_block(Block& block) const { path().encrypt(*this, block); }
+
 void Aes::decrypt_block(Block& block) const {
-  add_round_key(block, &round_keys_[4 * rounds_]);
+  const std::uint8_t* rk = round_keys_.data();
+  add_round_key(block, rk + 16 * rounds_);
   for (int round = rounds_ - 1; round >= 1; --round) {
     inv_shift_rows(block);
     inv_sub_bytes(block);
-    add_round_key(block, &round_keys_[4 * round]);
+    add_round_key(block, rk + 16 * round);
     inv_mix_columns(block);
   }
   inv_shift_rows(block);
   inv_sub_bytes(block);
-  add_round_key(block, &round_keys_[0]);
+  add_round_key(block, rk);
 }
 
 AesCtr::AesCtr(const Aes& aes, const Block& initial_counter)
@@ -188,16 +312,24 @@ void AesCtr::refill() {
   keystream_ = counter_;
   aes_.encrypt_block(keystream_);
   keystream_used_ = 0;
-  // Increment the low 32 bits big-endian (SP 800-38A standard increment).
-  for (int i = 15; i >= 12; --i) {
-    if (++counter_[i] != 0) break;
-  }
+  increment_counter(counter_);
 }
 
 void AesCtr::process(std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    if (keystream_used_ == 16) refill();
-    data[i] ^= keystream_[keystream_used_++];
+  // The rest of a keystream block left by the previous call, then whole
+  // blocks in one batch, then a partial block whose tail is kept.
+  for (; len > 0 && keystream_used_ < keystream_.size(); --len) {
+    *data++ ^= keystream_[keystream_used_++];
+  }
+  if (len >= 16) {
+    path().ctr(aes_, counter_, data, len / 16);
+    data += len / 16 * 16;
+    len %= 16;
+  }
+  if (len > 0) {
+    refill();
+    for (std::size_t i = 0; i < len; ++i) data[i] ^= keystream_[i];
+    keystream_used_ = len;
   }
 }
 

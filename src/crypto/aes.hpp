@@ -4,18 +4,43 @@
 // symmetric link encryption and for the mutual-authentication protocol's
 // `[H(rA·rB)]_K` operation; this module provides both.
 //
-// A software table-based implementation (not constant-time against cache
-// timing); acceptable here because the adversary lives inside the simulator
-// and has no microarchitectural channel.
+// Block encryption is chosen once per process: AES-NI when the CPU
+// reports it, otherwise portable FIPS 197 code. Both produce identical
+// bytes, and the portable code is the oracle the AES-NI path is
+// cross-checked against in tests. The AES-NI rounds are constant-time. The
+// portable rounds, the key expansion and decryption (portable only) index
+// the S-box by secret bytes, so they are not constant-time against cache
+// timing; that is acceptable here because the adversary lives inside the
+// simulator and has no microarchitectural channel.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace raptee::crypto {
 
 using Block = std::array<std::uint8_t, 16>;
+
+class Aes;
+
+/// The two block-encryption paths, exposed so tests can cross-check them.
+/// Production code goes through Aes and AesCtr, which pick one per process.
+namespace detail {
+/// True when the CPU supports AES-NI (and SSE4.1, which the CTR path uses).
+[[nodiscard]] bool cpu_has_aes_ni();
+void aes_encrypt_portable(const Aes& aes, Block& block);
+/// Precondition: cpu_has_aes_ni().
+void aes_encrypt_aesni(const Aes& aes, Block& block);
+/// XORs the CTR keystream of `nblocks` whole blocks into `data` and
+/// advances `counter` by `nblocks` (low 32 bits, big-endian, wrapping).
+void aes_ctr_portable(const Aes& aes, Block& counter, std::uint8_t* data,
+                      std::size_t nblocks);
+/// Same, four blocks at a time on AES-NI. Precondition: cpu_has_aes_ni().
+void aes_ctr_aesni(const Aes& aes, Block& counter, std::uint8_t* data,
+                   std::size_t nblocks);
+}  // namespace detail
 
 /// Expanded-key AES context supporting the two key sizes used in practice.
 class Aes {
@@ -38,8 +63,14 @@ class Aes {
   [[nodiscard]] int rounds() const { return rounds_; }
 
  private:
-  int rounds_ = 0;                              // 10 for AES-128, 14 for AES-256
-  std::array<std::uint32_t, 60> round_keys_{};  // max 15 round keys * 4 words
+  friend void detail::aes_encrypt_portable(const Aes&, Block&);
+  friend void detail::aes_encrypt_aesni(const Aes&, Block&);
+  friend void detail::aes_ctr_aesni(const Aes&, Block&, std::uint8_t*, std::size_t);
+
+  /// rounds_ + 1 round keys of 16 bytes each, in state byte order (the
+  /// order AES-NI loads them and the portable code XORs them).
+  std::array<std::uint8_t, 240> round_keys_{};
+  int rounds_ = 0;  // 10 for AES-128, 14 for AES-256
 };
 
 /// AES-CTR keystream cipher. Encryption and decryption are the same

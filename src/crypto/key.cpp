@@ -8,9 +8,8 @@
 namespace raptee::crypto {
 
 SymmetricKey SymmetricKey::derive(std::string_view label) const {
-  const auto okm = hkdf_sha256(/*salt=*/{}, to_vector(), label, kBytes);
   std::array<std::uint8_t, kBytes> out{};
-  std::memcpy(out.data(), okm.data(), kBytes);
+  hkdf_sha256(hkdf_zero_salt(), bytes_.data(), bytes_.size(), label, out.data(), out.size());
   return SymmetricKey(out);
 }
 
@@ -21,22 +20,27 @@ std::uint64_t SymmetricKey::fingerprint() const {
   return fp;
 }
 
-Drbg::Drbg(std::uint64_t seed, std::string_view personalization) {
+namespace {
+
+Digest256 drbg_state_key(std::uint64_t seed, std::string_view personalization) {
   std::uint8_t seed_bytes[8];
   for (int i = 0; i < 8; ++i) seed_bytes[i] = static_cast<std::uint8_t>(seed >> (8 * i));
   HmacSha256 mac(seed_bytes, sizeof seed_bytes);
   mac.update(personalization);
-  const Digest256 d = mac.finish();
-  std::memcpy(state_key_.data(), d.data(), d.size());
+  return mac.finish();
 }
+
+}  // namespace
+
+Drbg::Drbg(std::uint64_t seed, std::string_view personalization)
+    : state_key_(drbg_state_key(seed, personalization)) {}
 
 void Drbg::fill(std::uint8_t* out, std::size_t len) {
   while (len > 0) {
     std::uint8_t ctr_bytes[8];
     for (int i = 0; i < 8; ++i) ctr_bytes[i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
     ++counter_;
-    const Digest256 block =
-        hmac_sha256(state_key_.data(), state_key_.size(), ctr_bytes, sizeof ctr_bytes);
+    const Digest256 block = hmac_sha256(state_key_, ctr_bytes, sizeof ctr_bytes);
     const std::size_t take = std::min<std::size_t>(len, block.size());
     std::memcpy(out, block.data(), take);
     out += take;

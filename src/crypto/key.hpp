@@ -32,7 +32,8 @@ class SymmetricKey {
     return {bytes_.begin(), bytes_.end()};
   }
 
-  /// Derives a purpose-bound subkey (HKDF with `label` as info).
+  /// Derives a purpose-bound subkey (HKDF with `label` as info). Does not
+  /// allocate.
   [[nodiscard]] SymmetricKey derive(std::string_view label) const;
 
   /// Short public fingerprint (first 8 bytes of SHA-256 of the key). Safe to
@@ -55,7 +56,9 @@ class SymmetricKey {
 };
 
 /// Deterministic HMAC-DRBG (simplified SP 800-90A shape): out_i =
-/// HMAC(seed_key, counter). Fork-able for independent streams.
+/// HMAC(seed_key, counter). Fork-able for independent streams. The state
+/// key is held as its HMAC key schedule, so each 32-byte output block
+/// costs two compressions.
 class Drbg {
  public:
   explicit Drbg(std::uint64_t seed, std::string_view personalization = "raptee-drbg");
@@ -71,7 +74,7 @@ class Drbg {
   [[nodiscard]] Drbg fork(std::string_view label);
 
  private:
-  std::array<std::uint8_t, 32> state_key_{};
+  HmacKey state_key_;
   std::uint64_t counter_ = 0;
 };
 

@@ -62,7 +62,7 @@ crypto::AuthToken Enclave::auth_mac_proof(const char* domain, const crypto::Auth
                                           const crypto::AuthNonce& b) {
   require_key("auth_mac_proof");
   charge(FunctionClass::kPullRequest);
-  return brahms::auth_detail::mac_proof(*group_key_, domain, a, b);
+  return brahms::auth_detail::mac_proof(*group_mac_key_, domain, a, b);
 }
 
 std::uint64_t Enclave::group_fingerprint() {
@@ -91,7 +91,12 @@ std::vector<NodeId> Enclave::select_swap_half(const std::vector<NodeId>& view_id
 
 void Enclave::install_group_key(const crypto::SymmetricKey& key) {
   charge(FunctionClass::kAttestation);
+  adopt_group_key(key);
+}
+
+void Enclave::adopt_group_key(const crypto::SymmetricKey& key) {
   group_key_ = key;
+  group_mac_key_.emplace(key.bytes());
 }
 
 crypto::SymmetricKey Enclave::sealing_key() const {
@@ -120,7 +125,7 @@ bool Enclave::unseal_group_key(const std::vector<std::uint8_t>& blob) {
   if (!plain || plain->size() != crypto::SymmetricKey::kBytes) return false;
   std::array<std::uint8_t, crypto::SymmetricKey::kBytes> bytes{};
   std::memcpy(bytes.data(), plain->data(), bytes.size());
-  group_key_ = crypto::SymmetricKey(bytes);
+  adopt_group_key(crypto::SymmetricKey(bytes));
   return true;
 }
 

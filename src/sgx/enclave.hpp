@@ -32,6 +32,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/key.hpp"
 #include "crypto/mutual_auth.hpp"
 #include "crypto/sha256.hpp"
@@ -108,6 +109,8 @@ class Enclave {
   /// Attestation-channel-only entry point (models the secret provisioning
   /// over the remote-attestation secure channel).
   void install_group_key(const crypto::SymmetricKey& key);
+  /// Sets the group key and its HMAC schedule (attestation or unsealing).
+  void adopt_group_key(const crypto::SymmetricKey& key);
 
   [[nodiscard]] crypto::SymmetricKey sealing_key() const;
   void require_key(const char* op) const;
@@ -125,6 +128,7 @@ class Enclave {
   CycleLedger ledger_;
   crypto::SymmetricKey device_secret_;  // per-device sealing root
   std::optional<crypto::SymmetricKey> group_key_;
+  std::optional<crypto::HmacKey> group_mac_key_;  // set together with group_key_
 };
 
 }  // namespace raptee::sgx

@@ -76,7 +76,7 @@ struct EngineConfig {
   /// baseline. With event mode on, results are bit-identical across every
   /// worker count (1 included): generation always draws per-node split
   /// streams and the event heap drains serially on the coordinating thread.
-  evt::EventConfig event;
+  evt::EventConfig event{};
 };
 
 class Engine {

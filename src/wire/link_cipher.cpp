@@ -18,7 +18,7 @@ crypto::SymmetricKey mac_subkey(const crypto::SymmetricKey& secret, std::uint8_t
 
 LinkCipher::LinkCipher(const crypto::SymmetricKey& secret, std::uint8_t direction)
     : aes_(crypto::Aes::aes256(enc_subkey(secret, direction).bytes())),
-      mac_key_(mac_subkey(secret, direction).to_vector()),
+      mac_key_(mac_subkey(secret, direction).bytes()),
       direction_(direction) {}
 
 crypto::Block LinkCipher::counter_block_for(std::uint64_t seq) const {

@@ -1,6 +1,8 @@
 #include "wire/link_session.hpp"
 
-#include <string>
+#include <array>
+#include <charconv>
+#include <string_view>
 #include <utility>
 
 namespace raptee::wire {
@@ -9,6 +11,21 @@ namespace {
 
 std::uint64_t pair_key(NodeId lo, NodeId hi) {
   return (static_cast<std::uint64_t>(lo.value) << 32) | hi.value;
+}
+
+/// Writes the session label "link-<lo>-<hi><sep><n>" into `buf` (no heap)
+/// and returns it. 64 bytes hold the longest label (47 characters).
+std::string_view session_label(std::array<char, 64>& buf, NodeId lo, NodeId hi, char sep,
+                               std::uint64_t n) {
+  char* const end = buf.data() + buf.size();
+  char* p = buf.data();
+  for (const char c : std::string_view("link-")) *p++ = c;
+  p = std::to_chars(p, end, lo.value).ptr;
+  *p++ = '-';
+  p = std::to_chars(p, end, hi.value).ptr;
+  *p++ = sep;
+  p = std::to_chars(p, end, n).ptr;
+  return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
 }  // namespace
@@ -29,10 +46,9 @@ std::unique_ptr<LinkSession> LinkTable::make_session(NodeId lo, NodeId hi) {
   // independent tables seeded with the same master key agree on every key.
   ++derivations_;
   const std::uint32_t establishment = ++establishments_[pair_key(lo, hi)];
-  const std::string label = "link-" + std::to_string(lo.value) + "-" +
-                            std::to_string(hi.value) + "#" +
-                            std::to_string(establishment);
-  auto session = std::make_unique<LinkSession>(master_.derive(label), lo);
+  std::array<char, 64> label;
+  auto session = std::make_unique<LinkSession>(
+      master_.derive(session_label(label, lo, hi, '#', establishment)), lo);
   session->epoch_lo = epoch_of(lo);
   session->epoch_hi = epoch_of(hi);
   return session;
@@ -67,9 +83,9 @@ LinkSession& LinkTable::establish(NodeId a, NodeId b, std::uint64_t token) {
   // The token-labelled secret is a pure function of (master, pair, token):
   // both endpoints of the handshake that produced `token` derive it
   // identically from their own tables.
-  const std::string label = "link-" + std::to_string(lo.value) + "-" +
-                            std::to_string(hi.value) + "@" + std::to_string(token);
-  auto session = std::make_unique<LinkSession>(master_.derive(label), lo);
+  std::array<char, 64> label;
+  auto session = std::make_unique<LinkSession>(
+      master_.derive(session_label(label, lo, hi, '@', token)), lo);
   session->epoch_lo = epoch_of(lo);
   session->epoch_hi = epoch_of(hi);
   auto& slot = sessions_[pair_key(lo, hi)];
