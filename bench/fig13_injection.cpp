@@ -45,8 +45,10 @@ int main() {
     std::cout << "--- panel: attack on a system with t=" << t << "% ---\n";
     std::vector<std::string> headers{"f%"};
     for (const int inj : injections) {
-      headers.push_back(inj == 0 ? ("t=" + std::to_string(t) + "%")
-                                 : ("+" + std::to_string(inj) + "%"));
+      std::string header = inj == 0 ? "t=" : "+";
+      header += std::to_string(inj == 0 ? t : inj);
+      header += '%';
+      headers.push_back(header);
     }
     metrics::TablePrinter table(headers);
 

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "brahms/auth.hpp"
+#include "brahms/node.hpp"
 #include "brahms/sampler.hpp"
 #include "core/node_factory.hpp"
 #include "crypto/aes.hpp"
@@ -51,6 +52,21 @@ void BM_AesCtr_1KiB(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_AesCtr_1KiB);
+
+/// One AES key expansion (Arg: key bits), as every link-session key and
+/// every full-mode proof key runs it.
+void BM_AesKeySchedule(benchmark::State& state) {
+  const auto size = state.range(0) == 128 ? crypto::Aes::KeySize::k128
+                                          : crypto::Aes::KeySize::k256;
+  std::array<std::uint8_t, 32> key{};
+  crypto::Drbg(9).fill(key.data(), key.size());
+  for (auto _ : state) {
+    ++key[0];
+    const crypto::Aes aes(key.data(), size);
+    benchmark::DoNotOptimize(&aes);
+  }
+}
+BENCHMARK(BM_AesKeySchedule)->Arg(128)->Arg(256);
 
 /// A fingerprint-mode auth proof under a long-lived key, as
 /// KeyedAuthenticator computes it: the key's HMAC schedule is cached.
@@ -113,6 +129,66 @@ void BM_SamplerArray_Feed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_SamplerArray_Feed)->Arg(40)->Arg(200);
+
+/// A round's pulled stream (Arg: IDs, with duplicates) into l2 = 40
+/// samplers through the kernel this CPU selected.
+void BM_SamplerArray_FeedBatch(benchmark::State& state) {
+  Rng rng(3);
+  brahms::SamplerArray samplers(40, rng);
+  std::vector<NodeId> batch;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    batch.emplace_back(static_cast<std::uint32_t>(rng.below(2000)));
+  }
+  for (auto _ : state) {
+    samplers.feed_all(batch);
+    benchmark::DoNotOptimize(samplers.sample(0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_SamplerArray_FeedBatch)->Arg(634);
+
+/// One plain-Brahms node's end of round at l1 = l2 = 40: α·l1 = 16 pushes
+/// and β·l1 = 16 pull answers of 40 IDs drawn from 2,000, the shape of a
+/// raptee_sealed_wan round — sampler feed, validation and view renewal.
+/// The round's pushes and pulls are set up outside the timed region.
+void BM_BrahmsEndRound(benchmark::State& state) {
+  constexpr std::uint32_t kUniverse = 2000;
+  brahms::BrahmsConfig config;
+  config.params.l1 = config.params.l2 = 40;
+  config.sampler_validation_period = 1;
+  crypto::Drbg kg(8);
+  Rng rng(8);
+  const auto random_ids = [&](std::size_t n) {
+    std::vector<NodeId> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.emplace_back(1 + static_cast<std::uint32_t>(rng.below(kUniverse)));
+    }
+    return ids;
+  };
+  brahms::BrahmsNode node(
+      NodeId{0}, config,
+      std::make_unique<brahms::KeyedAuthenticator>(brahms::AuthMode::kOracle,
+                                                   kg.generate_key(), kg.fork("n")),
+      Rng(9), [](NodeId id) { return id.value % 50 != 0; });
+  node.bootstrap(random_ids(40));
+  std::vector<wire::PullReply> replies;
+  for (std::uint32_t k = 0; k < 16; ++k) {
+    replies.push_back(wire::PullReply{NodeId{k + 1}, {}, random_ids(40)});
+  }
+  Round r = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    node.begin_round(++r);
+    for (NodeId sender : random_ids(16)) node.on_push(wire::PushMessage{sender});
+    for (const auto& reply : replies) {
+      (void)node.open_pull(reply.sender);
+      (void)node.process_pull_reply(reply);
+    }
+    state.ResumeTiming();
+    node.end_round(r);
+  }
+}
+BENCHMARK(BM_BrahmsEndRound);
 
 void BM_PullReply_Codec(benchmark::State& state) {
   wire::PullReply reply;

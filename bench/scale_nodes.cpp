@@ -91,7 +91,10 @@ void* alloc_tracked(std::size_t size, std::size_t align) noexcept {
   return user;
 }
 
-void free_tracked(void* ptr) noexcept {
+// Kept out of line: inlined into a replaced operator delete, GCC 12 sees
+// std::free reach a pointer that came from operator new and reports
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void free_tracked(void* ptr) noexcept {
   if (ptr == nullptr) return;
   auto* user = static_cast<std::byte*>(ptr);
   // raptee-lint: allow(cast-allowlist) counting allocator reads back the size header it wrote in alloc_tracked

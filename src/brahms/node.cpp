@@ -2,28 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 
 namespace raptee::brahms {
-
-namespace {
-
-/// Deduplicates preserving first occurrence, dropping `self`.
-std::vector<NodeId> dedup_excluding(const std::vector<NodeId>& ids, NodeId self) {
-  std::vector<NodeId> out;
-  out.reserve(ids.size());
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(ids.size() * 2);
-  for (NodeId id : ids) {
-    if (id == self || !id.valid()) continue;
-    if (seen.insert(id.value).second) out.push_back(id);
-  }
-  return out;
-}
-
-}  // namespace
 
 BrahmsNode::BrahmsNode(NodeId self, BrahmsConfig config,
                        std::unique_ptr<IAuthenticator> auth, Rng rng,
@@ -41,13 +23,13 @@ BrahmsNode::BrahmsNode(NodeId self, BrahmsConfig config,
 
 void BrahmsNode::bootstrap(const std::vector<NodeId>& initial_peers) {
   view_.clear();
-  for (NodeId peer : dedup_excluding(initial_peers, self_)) {
+  for (NodeId peer : initial_peers) {
     if (view_.full()) break;
-    view_.insert(peer, 0);
+    if (peer != self_ && peer.valid()) view_.insert(peer, 0);  // drops duplicates
   }
   // The bootstrap handout also primes the samplers: a joining node treats
   // it as its first received ID stream.
-  for (const auto& entry : view_.entries()) samplers_.feed(entry.id);
+  samplers_.feed_all(view_.ids());
 }
 
 void BrahmsNode::begin_round(Round /*r*/) {
@@ -171,15 +153,13 @@ std::optional<std::vector<NodeId>> BrahmsNode::accept_swap_offer(
 void BrahmsNode::integrate_swap_reply(NodeId /*peer*/,
                                       const std::vector<NodeId>& /*half*/) {}
 
-BrahmsNode::PulledContribution BrahmsNode::process_pulled(
-    const std::vector<PullRecord>& records) {
-  PulledContribution out;
+void BrahmsNode::process_pulled(const std::vector<PullRecord>& records,
+                                PulledContribution& out) {
   for (const auto& r : records) {
     out.sampler_ids.insert(out.sampler_ids.end(), r.ids.begin(), r.ids.end());
     // Plain Brahms draws no trusted/untrusted distinction and caps nothing.
     out.renewal_untrusted.insert(out.renewal_untrusted.end(), r.ids.begin(), r.ids.end());
   }
-  return out;
 }
 
 void BrahmsNode::end_round(Round r) {
@@ -187,17 +167,22 @@ void BrahmsNode::end_round(Round r) {
 
   // Eviction hook (RAPTEE) decides which pulled IDs survive and how much of
   // the β·l1 slice untrusted sources may fill.
-  const PulledContribution pulled = process_pulled(pulled_);
+  thread_local PulledContribution pulled;
+  pulled.clear();
+  process_pulled(pulled_, pulled);
   telemetry_.pulled_ids_kept =
       pulled.renewal_trusted.size() + pulled.renewal_untrusted.size();
 
   // Sampling component: the (filtered) received stream feeds every sampler,
   // independently of the blocking defence — min-wise sampling is unbiased
-  // by construction, so it never needs to block. Feeding the deduplicated
-  // stream is mathematically identical (a min-wise sampler is duplicate-
-  // insensitive) and much cheaper.
-  samplers_.feed_all(dedup_excluding(pushed_, self_));
-  samplers_.feed_all(dedup_excluding(pulled.sampler_ids, self_));
+  // by construction, so it never needs to block. A sampler keeps the
+  // minimum-hash ID of its stream, which neither duplicates nor order
+  // change, so both streams go in raw, one batch each: a dedup pass costs
+  // more than the hashes it would save. on_push already dropped self and
+  // invalid senders; pull answers may carry either.
+  samplers_.feed_all(pushed_);
+  std::erase_if(pulled.sampler_ids, [&](NodeId id) { return id == self_ || !id.valid(); });
+  samplers_.feed_all(pulled.sampler_ids);
 
   if (config_.sampler_validation_period != 0 && alive_probe_ &&
       r % config_.sampler_validation_period == 0) {
@@ -218,30 +203,47 @@ void BrahmsNode::end_round(Round r) {
 void BrahmsNode::renew_view(const PulledContribution& pulled) {
   const Params& p = config_.params;
 
-  std::vector<NodeId> next;
+  // Per-thread scratch: every buffer keeps its capacity across rounds and
+  // nodes, so a warmed-up renewal allocates nothing and no node carries
+  // the buffers in its own footprint.
+  struct Tagged {
+    NodeId id;
+    bool untrusted;
+  };
+  struct Scratch {
+    std::vector<NodeId> next, stream, history;
+    std::vector<Tagged> tagged;
+    std::vector<std::size_t> picks;
+    std::vector<gossip::ViewEntry> previous;
+  };
+  thread_local Scratch scratch;
+  std::vector<NodeId>& next = scratch.next;
+  next.clear();
   next.reserve(p.l1);
-  std::unordered_set<std::uint32_t> taken;
-  taken.reserve(p.l1 * 2);
+  // `next` holds at most l1 IDs: a linear scan beats a hash set here.
+  const auto take = [&](NodeId id) {
+    if (std::find(next.begin(), next.end(), id) != next.end()) return false;
+    next.push_back(id);
+    return true;
+  };
 
   // rand(stream, k): sample k entries from the raw ID stream *with its
   // multiplicities* (shuffle and walk, skipping duplicates already chosen).
   // Deduplicating first would erase exactly the over-representation the
   // Brahms analysis reasons about — the adversary's pull answers repeat its
   // member IDs massively, and the defence quantifies, not erases, that bias.
-  auto fill_from_stream = [&](std::vector<NodeId> stream, std::size_t want) {
+  {
+    std::vector<NodeId>& stream = scratch.stream;
+    stream.assign(pushed_.begin(), pushed_.end());
     rng_.shuffle(stream);
+    const std::size_t want = p.push_slice();
     std::size_t added = 0;
     for (NodeId id : stream) {
       if (added >= want || next.size() >= p.l1) break;
       if (id == self_ || !id.valid()) continue;
-      if (taken.insert(id.value).second) {
-        next.push_back(id);
-        ++added;
-      }
+      if (take(id)) ++added;
     }
-  };
-
-  fill_from_stream(pushed_, p.push_slice());
+  }
 
   // β·l1 pulled slice: one joint stream of (id, untrusted?) entries,
   // shuffled together so trusted sources get no artificial priority; the
@@ -250,12 +252,8 @@ void BrahmsNode::renew_view(const PulledContribution& pulled) {
     const std::size_t quota = p.pull_slice();
     const auto untrusted_cap = static_cast<std::size_t>(
         std::lround(pulled.untrusted_slice_cap * static_cast<double>(quota)));
-    struct Tagged {
-      NodeId id;
-      bool untrusted;
-    };
-    std::vector<Tagged> stream;
-    stream.reserve(pulled.renewal_trusted.size() + pulled.renewal_untrusted.size());
+    std::vector<Tagged>& stream = scratch.tagged;
+    stream.clear();
     for (NodeId id : pulled.renewal_trusted) stream.push_back({id, false});
     for (NodeId id : pulled.renewal_untrusted) stream.push_back({id, true});
     rng_.shuffle(stream);
@@ -264,34 +262,38 @@ void BrahmsNode::renew_view(const PulledContribution& pulled) {
       if (added >= quota || next.size() >= p.l1) break;
       if (t.id == self_ || !t.id.valid()) continue;
       if (t.untrusted && untrusted_added >= untrusted_cap) continue;
-      if (taken.insert(t.id.value).second) {
-        next.push_back(t.id);
+      if (take(t.id)) {
         ++added;
         if (t.untrusted) ++untrusted_added;
       }
     }
   }
 
-  for (NodeId id : samplers_.history_sample(p.history_slice(), rng_)) {
+  // History slice: the same draws as SamplerArray::history_sample.
+  samplers_.sample_list_into(scratch.history);
+  scratch.picks.reserve(samplers_.size());  // a short list yields all its l2 indices
+  rng_.sample_indices_into(scratch.history.size(), p.history_slice(), scratch.picks);
+  for (std::size_t i : scratch.picks) {
     if (next.size() >= p.l1) break;
-    if (id != self_ && taken.insert(id.value).second) next.push_back(id);
+    const NodeId id = scratch.history[i];
+    if (id != self_) take(id);
   }
 
   // Shortfall rule (design decision D3): keep previous entries, freshest
   // first, until the view is full again.
-  std::vector<gossip::ViewEntry> previous = view_.entries();
+  std::vector<gossip::ViewEntry>& previous = scratch.previous;
+  previous.assign(view_.entries().begin(), view_.entries().end());
   std::sort(previous.begin(), previous.end(),
             [](const gossip::ViewEntry& a, const gossip::ViewEntry& b) {
               return a.age < b.age;
             });
 
-  gossip::PartialView renewed(p.l1);
-  for (NodeId id : next) renewed.insert(id, 0);
+  view_.clear();
+  for (NodeId id : next) view_.insert(id, 0);
   for (const auto& entry : previous) {
-    if (renewed.full()) break;
-    renewed.insert(entry.id, entry.age);
+    if (view_.full()) break;
+    view_.insert(entry.id, entry.age);
   }
-  view_ = std::move(renewed);
 }
 
 }  // namespace raptee::brahms

@@ -128,9 +128,20 @@ class BrahmsNode : public sim::INode {
     /// (1 - eviction rate); the vacated slots fall through to the history
     /// sample and the D3 retention rule.
     double untrusted_slice_cap = 1.0;
+
+    /// Empties the streams but keeps their capacity.
+    void clear() {
+      sampler_ids.clear();
+      renewal_trusted.clear();
+      renewal_untrusted.clear();
+      untrusted_slice_cap = 1.0;
+    }
   };
-  [[nodiscard]] virtual PulledContribution process_pulled(
-      const std::vector<PullRecord>& records);
+  /// Fills `out`, which arrives cleared: end_round passes per-thread
+  /// scratch, so a steady-state round builds the streams without
+  /// allocating.
+  virtual void process_pulled(const std::vector<PullRecord>& records,
+                              PulledContribution& out);
   /// Called when the view was renewed (not blocked) — RAPTEE uses it to
   /// refresh trusted bookkeeping.
   virtual void after_view_update() {}

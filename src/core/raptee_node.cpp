@@ -83,8 +83,8 @@ void RapteeNode::apply_swap(const std::vector<NodeId>& sent,
   swap_received_.insert(swap_received_.end(), received.begin(), received.end());
 }
 
-brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
-    const std::vector<PullRecord>& records) {
+void RapteeNode::process_pulled(const std::vector<PullRecord>& records,
+                                PulledContribution& out) {
   std::size_t trusted_exchanges = 0;
   for (const auto& r : records) {
     if (r.trusted) ++trusted_exchanges;
@@ -98,7 +98,6 @@ brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
   last_eviction_rate_ = rate;
   mutable_telemetry().eviction_rate = rate;
 
-  PulledContribution out;
   // §IV-C, both prongs of the defence:
   //  * "not passing them to the BRAHMS sampling component" — the sampler
   //    stream carries trusted-sourced IDs in full, untrusted IDs filtered
@@ -129,7 +128,6 @@ brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
   if (unbiaser_) {
     out.renewal_untrusted = unbiaser_->filter(out.renewal_untrusted);
   }
-  return out;
 }
 
 void RapteeNode::after_view_update() {

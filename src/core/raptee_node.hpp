@@ -80,8 +80,8 @@ class RapteeNode : public brahms::BrahmsNode {
   [[nodiscard]] std::optional<std::vector<NodeId>> accept_swap_offer(
       NodeId peer, const std::vector<NodeId>& offer) override;
   void integrate_swap_reply(NodeId peer, const std::vector<NodeId>& half) override;
-  [[nodiscard]] PulledContribution process_pulled(
-      const std::vector<PullRecord>& records) override;
+  void process_pulled(const std::vector<PullRecord>& records,
+                      PulledContribution& out) override;
   void after_view_update() override;
 
  private:

@@ -71,34 +71,6 @@ constexpr std::array<std::uint32_t, 15> kRcon = {
 
 }  // namespace
 
-Aes::Aes(const std::uint8_t* key, KeySize size) {
-  const int nk = (size == KeySize::k128) ? 4 : 8;
-  rounds_ = (size == KeySize::k128) ? 10 : 14;
-  const int total_words = 4 * (rounds_ + 1);
-
-  std::array<std::uint32_t, 60> words{};
-  for (int i = 0; i < nk; ++i) {
-    words[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
-               (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
-               (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
-               static_cast<std::uint32_t>(key[4 * i + 3]);
-  }
-  for (int i = nk; i < total_words; ++i) {
-    std::uint32_t temp = words[i - 1];
-    if (i % nk == 0) {
-      temp = sub_word(rot_word(temp)) ^ kRcon[i / nk];
-    } else if (nk > 6 && i % nk == 4) {
-      temp = sub_word(temp);
-    }
-    words[i] = words[i - nk] ^ temp;
-  }
-  for (int i = 0; i < total_words; ++i) {
-    for (int k = 0; k < 4; ++k) {
-      round_keys_[4 * i + k] = static_cast<std::uint8_t>(words[i] >> (24 - 8 * k));
-    }
-  }
-}
-
 namespace {
 
 void add_round_key(Block& s, const std::uint8_t* rk) {
@@ -157,19 +129,24 @@ void increment_counter(Block& counter) {
   }
 }
 
+using ScheduleFn = void (*)(const std::uint8_t*, int, std::uint8_t*);
 using EncryptFn = void (*)(const Aes&, Block&);
 using CtrFn = void (*)(const Aes&, Block&, std::uint8_t*, std::size_t);
 
 /// The process-wide AES path, chosen on first use.
 struct Path {
+  ScheduleFn schedule;
   EncryptFn encrypt;
   CtrFn ctr;
 };
 
 const Path& path() {
-  static const Path p = detail::cpu_has_aes_ni()
-                            ? Path{detail::aes_encrypt_aesni, detail::aes_ctr_aesni}
-                            : Path{detail::aes_encrypt_portable, detail::aes_ctr_portable};
+  static const Path p =
+      detail::cpu_has_aes_ni()
+          ? Path{detail::aes_key_schedule_aesni, detail::aes_encrypt_aesni,
+                 detail::aes_ctr_aesni}
+          : Path{detail::aes_key_schedule_portable, detail::aes_encrypt_portable,
+                 detail::aes_ctr_portable};
   return p;
 }
 
@@ -184,6 +161,34 @@ bool cpu_has_aes_ni() {
 #else
   return false;
 #endif
+}
+
+void aes_key_schedule_portable(const std::uint8_t* key, int rounds,
+                               std::uint8_t* round_keys) {
+  const int nk = rounds == 10 ? 4 : 8;
+  const int total_words = 4 * (rounds + 1);
+
+  std::array<std::uint32_t, 60> words{};
+  for (int i = 0; i < nk; ++i) {
+    words[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
+               (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
+               (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
+               static_cast<std::uint32_t>(key[4 * i + 3]);
+  }
+  for (int i = nk; i < total_words; ++i) {
+    std::uint32_t temp = words[i - 1];
+    if (i % nk == 0) {
+      temp = sub_word(rot_word(temp)) ^ kRcon[i / nk];
+    } else if (nk > 6 && i % nk == 4) {
+      temp = sub_word(temp);
+    }
+    words[i] = words[i - nk] ^ temp;
+  }
+  for (int i = 0; i < total_words; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      round_keys[4 * i + k] = static_cast<std::uint8_t>(words[i] >> (24 - 8 * k));
+    }
+  }
 }
 
 void aes_encrypt_portable(const Aes& aes, Block& block) {
@@ -213,6 +218,66 @@ void aes_ctr_portable(const Aes& aes, Block& counter, std::uint8_t* data,
 #if RAPTEE_CRYPTO_X86
 using x86::load128;
 using x86::store128;
+
+/// One AES-128 schedule step (FIPS 197 §5.2): w[i] = w[i-4] ^ w[i-1] for
+/// the last three words, seeded by `assist`'s broadcast word
+/// SubWord(RotWord(w[i-1])) ^ Rcon.
+__attribute__((target("aes"))) inline __m128i expand_step(__m128i prev, __m128i assist) {
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 8));
+  return _mm_xor_si128(prev, assist);
+}
+
+/// AESKEYGENASSIST with round constant `rcon`, word 3 broadcast: the
+/// SubWord(RotWord(w)) ^ Rcon term of a 128-bit step or of an AES-256 even
+/// step.
+#define RAPTEE_AES_ROT_ASSIST(v, rcon) _mm_shuffle_epi32(_mm_aeskeygenassist_si128(v, rcon), 0xFF)
+/// Word 2 broadcast: SubWord(w) without rotation or Rcon, AES-256's odd step.
+#define RAPTEE_AES_SUB_ASSIST(v) _mm_shuffle_epi32(_mm_aeskeygenassist_si128(v, 0), 0xAA)
+
+__attribute__((target("aes"))) void aes_key_schedule_aesni(const std::uint8_t* key,
+                                                           int rounds,
+                                                           std::uint8_t* round_keys) {
+  // AESKEYGENASSIST takes its round constant as an immediate, so each
+  // step is written out.
+  __m128i a = load128(key);
+  store128(round_keys, a);
+  if (rounds == 10) {
+#define RAPTEE_AES128_STEP(i, rcon)                              \
+  a = expand_step(a, RAPTEE_AES_ROT_ASSIST(a, rcon));            \
+  store128(round_keys + 16 * (i), a)
+    RAPTEE_AES128_STEP(1, 0x01);
+    RAPTEE_AES128_STEP(2, 0x02);
+    RAPTEE_AES128_STEP(3, 0x04);
+    RAPTEE_AES128_STEP(4, 0x08);
+    RAPTEE_AES128_STEP(5, 0x10);
+    RAPTEE_AES128_STEP(6, 0x20);
+    RAPTEE_AES128_STEP(7, 0x40);
+    RAPTEE_AES128_STEP(8, 0x80);
+    RAPTEE_AES128_STEP(9, 0x1B);
+    RAPTEE_AES128_STEP(10, 0x36);
+#undef RAPTEE_AES128_STEP
+    return;
+  }
+  __m128i b = load128(key + 16);
+  store128(round_keys + 16, b);
+#define RAPTEE_AES256_STEP(i, rcon)                              \
+  a = expand_step(a, RAPTEE_AES_ROT_ASSIST(b, rcon));            \
+  store128(round_keys + 16 * (i), a);                            \
+  b = expand_step(b, RAPTEE_AES_SUB_ASSIST(a));                  \
+  store128(round_keys + 16 * ((i) + 1), b)
+  RAPTEE_AES256_STEP(2, 0x01);
+  RAPTEE_AES256_STEP(4, 0x02);
+  RAPTEE_AES256_STEP(6, 0x04);
+  RAPTEE_AES256_STEP(8, 0x08);
+  RAPTEE_AES256_STEP(10, 0x10);
+  RAPTEE_AES256_STEP(12, 0x20);
+#undef RAPTEE_AES256_STEP
+  a = expand_step(a, RAPTEE_AES_ROT_ASSIST(b, 0x40));
+  store128(round_keys + 16 * 14, a);
+}
+#undef RAPTEE_AES_ROT_ASSIST
+#undef RAPTEE_AES_SUB_ASSIST
 
 __attribute__((target("aes"))) void aes_encrypt_aesni(const Aes& aes, Block& block) {
   const std::uint8_t* rk = aes.round_keys_.data();
@@ -271,6 +336,11 @@ __attribute__((target("aes,sse4.1"))) void aes_ctr_aesni(const Aes& aes, Block& 
   for (int i = 0; i < 4; ++i) counter[12 + i] = static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
 }
 #else
+void aes_key_schedule_aesni(const std::uint8_t* key, int rounds, std::uint8_t* round_keys) {
+  RAPTEE_REQUIRE(false, "AES-NI path called on a CPU without it");
+  aes_key_schedule_portable(key, rounds, round_keys);
+}
+
 void aes_encrypt_aesni(const Aes& aes, Block& block) {
   RAPTEE_REQUIRE(false, "AES-NI path called on a CPU without it");
   aes_encrypt_portable(aes, block);
@@ -283,6 +353,10 @@ void aes_ctr_aesni(const Aes& aes, Block& counter, std::uint8_t* data, std::size
 #endif
 
 }  // namespace detail
+
+Aes::Aes(const std::uint8_t* key, KeySize size) : rounds_(size == KeySize::k128 ? 10 : 14) {
+  path().schedule(key, rounds_, round_keys_.data());
+}
 
 void Aes::encrypt_block(Block& block) const { path().encrypt(*this, block); }
 

@@ -4,14 +4,15 @@
 // symmetric link encryption and for the mutual-authentication protocol's
 // `[H(rA·rB)]_K` operation; this module provides both.
 //
-// Block encryption is chosen once per process: AES-NI when the CPU
-// reports it, otherwise portable FIPS 197 code. Both produce identical
-// bytes, and the portable code is the oracle the AES-NI path is
-// cross-checked against in tests. The AES-NI rounds are constant-time. The
-// portable rounds, the key expansion and decryption (portable only) index
-// the S-box by secret bytes, so they are not constant-time against cache
-// timing; that is acceptable here because the adversary lives inside the
-// simulator and has no microarchitectural channel.
+// Key expansion and block encryption are chosen once per process: AES-NI
+// (AESKEYGENASSIST, AESENC) when the CPU reports it, otherwise portable
+// FIPS 197 code. Both produce identical bytes, and the portable code is the
+// oracle the AES-NI path is cross-checked against in tests. The AES-NI
+// path is constant-time. The portable rounds and key expansion, and
+// decryption (portable only), index the S-box by secret bytes, so they are
+// not constant-time against cache timing; that is acceptable here because
+// the adversary lives inside the simulator and has no microarchitectural
+// channel.
 #pragma once
 
 #include <array>
@@ -30,6 +31,12 @@ class Aes;
 namespace detail {
 /// True when the CPU supports AES-NI (and SSE4.1, which the CTR path uses).
 [[nodiscard]] bool cpu_has_aes_ni();
+/// FIPS 197 key expansion of a 16-byte (`rounds` = 10) or 32-byte
+/// (`rounds` = 14) key into rounds + 1 round keys, in state byte order.
+void aes_key_schedule_portable(const std::uint8_t* key, int rounds,
+                               std::uint8_t* round_keys);
+/// Same, with AESKEYGENASSIST. Precondition: cpu_has_aes_ni().
+void aes_key_schedule_aesni(const std::uint8_t* key, int rounds, std::uint8_t* round_keys);
 void aes_encrypt_portable(const Aes& aes, Block& block);
 /// Precondition: cpu_has_aes_ni().
 void aes_encrypt_aesni(const Aes& aes, Block& block);

@@ -65,7 +65,7 @@ TEST(SamplerArray, SizeAndIndependentSeeds) {
   for (std::uint32_t i = 0; i < 200; ++i) arr.feed(NodeId{i});
   // Independent hash functions: the samplers should not all agree.
   std::set<std::uint32_t> distinct;
-  for (std::size_t i = 0; i < arr.size(); ++i) distinct.insert(arr.at(i).sample().value);
+  for (std::size_t i = 0; i < arr.size(); ++i) distinct.insert(arr.sample(i).value);
   EXPECT_GT(distinct.size(), 5u);
 }
 
@@ -130,7 +130,7 @@ TEST(SamplerArray, ConvergesToUniformOverAdversarialStream) {
     }
     int byz = 0;
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (arr.at(i).sample().value >= 1000) ++byz;
+      if (arr.sample(i).value >= 1000) ++byz;
     }
     byz_share.push_back(byz);
   }

@@ -1,12 +1,14 @@
 // Seeded randomized cross-check of the two crypto paths: SHA-NI against the
-// portable SHA-256 compression, AES-NI against the portable AES rounds, for
-// single blocks, whole messages and CTR streams. The portable code is the
+// portable SHA-256 compression, AES-NI against the portable AES key
+// expansion and rounds, for key schedules, single blocks, whole messages
+// and CTR streams. The portable code is the
 // oracle (it also passes the FIPS 180-4 / FIPS 197 / SP 800-38A vectors in
 // test_sha256 and test_aes). On a CPU without an extension, the hardware
 // half reports a skip with the reason; the portable-path checks still run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -96,6 +98,20 @@ TEST(CryptoDispatch, Sha256ContextMatchesPortableAtEveryLengthAndSplit) {
       off += take;
     }
     ASSERT_EQ(ctx.finish(), expected) << "length " << len << " split";
+  }
+}
+
+TEST(CryptoDispatch, AesNiKeyScheduleMatchesPortable) {
+  SKIP_WITHOUT_AES_NI();
+  Rng rng(0x4B455953ull);
+  for (const int rounds : {10, 14}) {
+    for (int trial = 0; trial < 500; ++trial) {
+      const auto key = random_bytes(rng, rounds == 10 ? 16 : 32);
+      std::array<std::uint8_t, 240> portable{}, hardware{};
+      detail::aes_key_schedule_portable(key.data(), rounds, portable.data());
+      detail::aes_key_schedule_aesni(key.data(), rounds, hardware.data());
+      ASSERT_EQ(portable, hardware) << "trial " << trial << ", rounds " << rounds;
+    }
   }
 }
 
