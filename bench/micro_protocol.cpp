@@ -94,7 +94,7 @@ void BM_DrbgFill(benchmark::State& state) {
 }
 BENCHMARK(BM_DrbgFill);
 
-/// One link-session establishment: HKDF of the pair secret, then two
+/// One link-session establishment: the pair secret's expand, then two
 /// LinkCipher key schedules (AES-256 and HMAC subkeys per direction).
 void BM_LinkSessionEstablish(benchmark::State& state) {
   crypto::Drbg kg(7);
@@ -106,6 +106,41 @@ void BM_LinkSessionEstablish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkSessionEstablish);
+
+/// A link table holding 85k cached sessions, pairs {i, i + 1} used over
+/// rounds 0-3: the size `raptee_sealed_wan` reaches in a 4-round run.
+std::unique_ptr<wire::LinkTable> filled_link_table() {
+  crypto::Drbg kg(8);
+  auto table = std::make_unique<wire::LinkTable>(kg.generate_key());
+  for (std::uint32_t i = 0; i < 85'000; ++i) {
+    (void)table->session(NodeId{i}, NodeId{i + 1}, i % 4);
+  }
+  return table;
+}
+
+/// The engine's path: session() on a pair the table has never seen, with
+/// about 85k sessions already cached. Fixed iterations keep the table's
+/// growth (and memory) the same on every run.
+void BM_LinkTableFirstUse(benchmark::State& state) {
+  const auto table = filled_link_table();
+  std::uint32_t next = 0;
+  for (auto _ : state) {
+    wire::LinkSession& session = table->session(NodeId{next}, NodeId{next + 2}, 4);
+    benchmark::DoNotOptimize(&session);
+    ++next;
+  }
+}
+BENCHMARK(BM_LinkTableFirstUse)->Iterations(1 << 15);
+
+/// End-of-round retirement with about 85k live sessions, none idle.
+void BM_LinkTableRetireIdle(benchmark::State& state) {
+  const auto table = filled_link_table();
+  for (auto _ : state) {
+    table->retire_idle(4, 64);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LinkTableRetireIdle);
 
 void BM_LinkCipher_SealOpen(benchmark::State& state) {
   crypto::Drbg kg(2);

@@ -59,19 +59,18 @@ const HmacKey& hkdf_zero_salt() {
   return zero;
 }
 
-void hkdf_sha256(const HmacKey& salt, const std::uint8_t* ikm, std::size_t ikm_len,
-                 std::string_view info, std::uint8_t* out, std::size_t length) {
-  RAPTEE_REQUIRE(length <= 255 * 32, "HKDF output limited to 255 blocks");
-  // Extract
-  const Digest256 prk = hmac_sha256(salt, ikm, ikm_len);
+HmacKey hkdf_extract(const HmacKey& salt, const std::uint8_t* ikm, std::size_t ikm_len) {
+  return HmacKey(hmac_sha256(salt, ikm, ikm_len));
+}
 
-  // Expand
-  const HmacKey prk_key(prk);
+void hkdf_expand(const HmacKey& prk, std::string_view info, std::uint8_t* out,
+                 std::size_t length) {
+  RAPTEE_REQUIRE(length <= 255 * 32, "HKDF output limited to 255 blocks");
   Digest256 t{};
   std::size_t t_len = 0;
   std::uint8_t counter = 1;
   while (length > 0) {
-    HmacSha256 mac(prk_key);
+    HmacSha256 mac(prk);
     mac.update(t.data(), t_len);
     mac.update(info);
     mac.update(&counter, 1);
@@ -89,8 +88,9 @@ std::vector<std::uint8_t> hkdf_sha256(const std::vector<std::uint8_t>& salt,
                                       const std::vector<std::uint8_t>& ikm,
                                       std::string_view info, std::size_t length) {
   std::vector<std::uint8_t> okm(length);
-  hkdf_sha256(salt.empty() ? hkdf_zero_salt() : HmacKey(salt), ikm.data(), ikm.size(), info,
-              okm.data(), okm.size());
+  const HmacKey prk = hkdf_extract(salt.empty() ? hkdf_zero_salt() : HmacKey(salt),
+                                   ikm.data(), ikm.size());
+  hkdf_expand(prk, info, okm.data(), okm.size());
   return okm;
 }
 

@@ -1,4 +1,4 @@
-// HMAC-SHA-256 (RFC 2104 / FIPS 198-1) and an HKDF-style key derivation.
+// HMAC-SHA-256 (RFC 2104 / FIPS 198-1) and HKDF (RFC 5869).
 // Used for message authentication on encrypted links, attestation quotes,
 // and deriving per-purpose subkeys from node master secrets.
 //
@@ -67,10 +67,16 @@ class HmacSha256 {
     const std::vector<std::uint8_t>& salt, const std::vector<std::uint8_t>& ikm,
     std::string_view info, std::size_t length);
 
-/// Allocation-free HKDF: `salt` is the extract key schedule and the
-/// `length` output bytes go to `out`.
-void hkdf_sha256(const HmacKey& salt, const std::uint8_t* ikm, std::size_t ikm_len,
-                 std::string_view info, std::uint8_t* out, std::size_t length);
+/// HKDF-Extract (RFC 5869 §2.2): PRK = HMAC(salt, ikm), returned as the
+/// PRK's key schedule so that any number of expands can share it.
+[[nodiscard]] HmacKey hkdf_extract(const HmacKey& salt, const std::uint8_t* ikm,
+                                   std::size_t ikm_len);
+
+/// HKDF-Expand (RFC 5869 §2.3): writes `length` bytes bound to `info` to
+/// `out`. Does not allocate; costs two compressions per 32 output bytes
+/// while `info` is at most 54 bytes.
+void hkdf_expand(const HmacKey& prk, std::string_view info, std::uint8_t* out,
+                 std::size_t length);
 
 /// The extract key schedule of an absent salt: RFC 5869 substitutes 32
 /// zero bytes. Computed once per process.

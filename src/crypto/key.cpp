@@ -8,8 +8,15 @@
 namespace raptee::crypto {
 
 SymmetricKey SymmetricKey::derive(std::string_view label) const {
-  std::array<std::uint8_t, kBytes> out{};
-  hkdf_sha256(hkdf_zero_salt(), bytes_.data(), bytes_.size(), label, out.data(), out.size());
+  return HkdfPrk(*this).derive(label);
+}
+
+HkdfPrk::HkdfPrk(const SymmetricKey& secret)
+    : prk_(hkdf_extract(hkdf_zero_salt(), secret.bytes().data(), secret.bytes().size())) {}
+
+SymmetricKey HkdfPrk::derive(std::string_view label) const {
+  std::array<std::uint8_t, SymmetricKey::kBytes> out{};
+  hkdf_expand(prk_, label, out.data(), out.size());
   return SymmetricKey(out);
 }
 

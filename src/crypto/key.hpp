@@ -32,8 +32,10 @@ class SymmetricKey {
     return {bytes_.begin(), bytes_.end()};
   }
 
-  /// Derives a purpose-bound subkey (HKDF with `label` as info). Does not
-  /// allocate.
+  /// Derives a purpose-bound subkey: HKDF with an absent salt and `label`
+  /// as info, i.e. HkdfPrk(*this).derive(label). Runs the extract on every
+  /// call (six compressions in all); a key that derives more than one
+  /// subkey should hold an HkdfPrk instead. Does not allocate.
   [[nodiscard]] SymmetricKey derive(std::string_view label) const;
 
   /// Short public fingerprint (first 8 bytes of SHA-256 of the key). Safe to
@@ -53,6 +55,22 @@ class SymmetricKey {
 
  private:
   std::array<std::uint8_t, kBytes> bytes_{};
+};
+
+/// A secret after HKDF-Extract (RFC 5869 §2.2): HMAC(zero-salt, secret)
+/// held as the PRK's HMAC key schedule. The extract and the schedule cost
+/// four compressions once; each derive() then runs the expand alone, two
+/// compressions for a label of up to 54 bytes. derive() returns the same
+/// bytes as SymmetricKey::derive on the secret.
+class HkdfPrk {
+ public:
+  explicit HkdfPrk(const SymmetricKey& secret);
+
+  /// The subkey bound to `label`. Does not allocate.
+  [[nodiscard]] SymmetricKey derive(std::string_view label) const;
+
+ private:
+  HmacKey prk_;
 };
 
 /// Deterministic HMAC-DRBG (simplified SP 800-90A shape): out_i =

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <utility>
 
 #if defined(__linux__)
@@ -108,7 +109,10 @@ void EventLoop::stop() {
 
 void EventLoop::wake() {
   const std::uint8_t byte = 1;
-  (void)write_some(wake_write_.get(), &byte, 1);  // EAGAIN = already pending
+  // A plain write: the pipe's read end lives as long as the loop, and
+  // EAGAIN means a wake-up is already pending.
+  while (::write(wake_write_.get(), &byte, 1) < 0 && errno == EINTR) {
+  }
 }
 
 void EventLoop::drain_posted() {

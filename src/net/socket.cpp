@@ -117,7 +117,9 @@ long read_some(int fd, std::uint8_t* buf, std::size_t cap) {
 
 long write_some(int fd, const std::uint8_t* buf, std::size_t len) {
   while (true) {
-    const ssize_t n = ::write(fd, buf, len);
+    // MSG_NOSIGNAL: a peer that closed mid-reply is an EPIPE for this
+    // connection, not a SIGPIPE for the whole process.
+    const ssize_t n = ::send(fd, buf, len, MSG_NOSIGNAL);
     if (n >= 0) return n;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;

@@ -6,17 +6,17 @@ namespace raptee::wire {
 
 namespace {
 
-crypto::SymmetricKey enc_subkey(const crypto::SymmetricKey& secret, std::uint8_t dir) {
+crypto::SymmetricKey enc_subkey(const crypto::HkdfPrk& secret, std::uint8_t dir) {
   return secret.derive(dir == 0 ? "raptee-link-enc-0" : "raptee-link-enc-1");
 }
 
-crypto::SymmetricKey mac_subkey(const crypto::SymmetricKey& secret, std::uint8_t dir) {
+crypto::SymmetricKey mac_subkey(const crypto::HkdfPrk& secret, std::uint8_t dir) {
   return secret.derive(dir == 0 ? "raptee-link-mac-0" : "raptee-link-mac-1");
 }
 
 }  // namespace
 
-LinkCipher::LinkCipher(const crypto::SymmetricKey& secret, std::uint8_t direction)
+LinkCipher::LinkCipher(const crypto::HkdfPrk& secret, std::uint8_t direction)
     : aes_(crypto::Aes::aes256(enc_subkey(secret, direction).bytes())),
       mac_key_(mac_subkey(secret, direction).bytes()),
       direction_(direction) {}

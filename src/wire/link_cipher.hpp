@@ -26,7 +26,11 @@ class LinkCipher {
   /// `secret` is the shared link secret; independent encryption and MAC
   /// subkeys are derived from it. `direction` domain-separates the two
   /// directions of a duplex link so A->B and B->A never reuse a keystream.
-  LinkCipher(const crypto::SymmetricKey& secret, std::uint8_t direction);
+  LinkCipher(const crypto::SymmetricKey& secret, std::uint8_t direction)
+      : LinkCipher(crypto::HkdfPrk(secret), direction) {}
+  /// Same keys from the secret's extracted PRK: a duplex session extracts
+  /// once and builds both directions from it (two expands each).
+  LinkCipher(const crypto::HkdfPrk& secret, std::uint8_t direction);
 
   /// Seals a plaintext frame; consumes one sequence number.
   [[nodiscard]] std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& plaintext);
@@ -57,16 +61,6 @@ class LinkCipher {
   std::uint8_t direction_;
   std::uint64_t send_seq_ = 0;
   std::uint64_t recv_seq_ = 0;
-};
-
-/// Convenience: a duplex pair of ciphers for one link endpoint.
-struct DuplexLink {
-  LinkCipher tx;
-  LinkCipher rx;
-
-  /// `initiator` selects which direction subkey this endpoint transmits on.
-  DuplexLink(const crypto::SymmetricKey& secret, bool initiator)
-      : tx(secret, initiator ? 0 : 1), rx(secret, initiator ? 1 : 0) {}
 };
 
 }  // namespace raptee::wire

@@ -1,5 +1,6 @@
 #include "wire/link_session.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <string_view>
@@ -19,11 +20,15 @@ std::string_view session_label(std::array<char, 64>& buf, NodeId lo, NodeId hi, 
                                std::uint64_t n) {
   char* const end = buf.data() + buf.size();
   char* p = buf.data();
-  for (const char c : std::string_view("link-")) *p++ = c;
+  // Bounds-checked so the compiler can see no separator lands past `end`.
+  const auto put = [&](char c) {
+    if (p != end) *p++ = c;
+  };
+  for (const char c : std::string_view("link-")) put(c);
   p = std::to_chars(p, end, lo.value).ptr;
-  *p++ = '-';
+  put('-');
   p = std::to_chars(p, end, hi.value).ptr;
-  *p++ = sep;
+  put(sep);
   p = std::to_chars(p, end, n).ptr;
   return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
@@ -37,60 +42,65 @@ std::uint32_t LinkTable::epoch_of(NodeId node) const {
   return node.value < epochs_.size() ? epochs_[node.value] : 0;
 }
 
-std::unique_ptr<LinkSession> LinkTable::make_session(NodeId lo, NodeId hi) {
-  // Both endpoints of a deployed link would run a key agreement; the
-  // simulator models the result: a per-establishment link secret known to
-  // both (and only both) endpoints. The per-pair establishment counter
-  // uniquifies re-established pairs (a rekeyed session never reuses a
-  // keystream) while staying a pure function of the pair's history — two
-  // independent tables seeded with the same master key agree on every key.
+std::unique_ptr<LinkSession> LinkTable::make_session(NodeId lo, NodeId hi, char sep,
+                                                     std::uint64_t n) {
   ++derivations_;
-  const std::uint32_t establishment = ++establishments_[pair_key(lo, hi)];
   std::array<char, 64> label;
   auto session = std::make_unique<LinkSession>(
-      master_.derive(session_label(label, lo, hi, '#', establishment)), lo);
+      crypto::HkdfPrk(master_.derive(session_label(label, lo, hi, sep, n))), lo);
   session->epoch_lo = epoch_of(lo);
   session->epoch_hi = epoch_of(hi);
   return session;
+}
+
+LinkSession& LinkTable::install(PairEntry& entry, std::unique_ptr<LinkSession> session) {
+  if (!entry.session) ++active_;
+  entry.session = std::move(session);
+  min_last_used_ = std::min(min_last_used_, entry.session->last_used);
+  return *entry.session;
+}
+
+void LinkTable::drop(PairEntry& entry) {
+  if (!entry.session) return;
+  entry.session.reset();
+  --active_;
 }
 
 LinkSession& LinkTable::session(NodeId a, NodeId b, std::uint64_t round) {
   const NodeId lo = a.value < b.value ? a : b;
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
+  PairEntry& entry = pairs_[pair_key(lo, hi)];
+  LinkSession* const cached = entry.session.get();
+  if (cache_ && cached != nullptr && cached->epoch_lo == epoch_of(lo) &&
+      cached->epoch_hi == epoch_of(hi)) {
+    cached->last_used = round;
+    min_last_used_ = std::min(min_last_used_, round);
+    return *cached;
+  }
+  // Both endpoints of a deployed link would run a key agreement; the
+  // simulator models the result: a per-establishment link secret known to
+  // both (and only both) endpoints. The per-pair establishment counter
+  // uniquifies re-established pairs (a rekeyed session never reuses a
+  // keystream) while staying a pure function of the pair's history — two
+  // independent tables seeded with the same master key agree on every key.
+  auto fresh = make_session(lo, hi, '#', ++entry.establishments);
   if (!cache_) {
-    transient_ = make_session(lo, hi);
+    transient_ = std::move(fresh);
     return *transient_;
   }
-  const std::uint64_t key = pair_key(lo, hi);
-  const auto it = sessions_.find(key);
-  if (it != sessions_.end() && it->second->epoch_lo == epoch_of(lo) &&
-      it->second->epoch_hi == epoch_of(hi)) {
-    it->second->last_used = round;
-    return *it->second;
-  }
-  if (it != sessions_.end()) sessions_.erase(it);
-  LinkSession& fresh = *sessions_.emplace(key, make_session(lo, hi)).first->second;
-  fresh.last_used = round;
-  return fresh;
+  fresh->last_used = round;
+  return install(entry, std::move(fresh));
 }
 
 LinkSession& LinkTable::establish(NodeId a, NodeId b, std::uint64_t token) {
   const NodeId lo = a.value < b.value ? a : b;
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
-  ++derivations_;
   // The token-labelled secret is a pure function of (master, pair, token):
   // both endpoints of the handshake that produced `token` derive it
-  // identically from their own tables.
-  std::array<char, 64> label;
-  auto session = std::make_unique<LinkSession>(
-      master_.derive(session_label(label, lo, hi, '@', token)), lo);
-  session->epoch_lo = epoch_of(lo);
-  session->epoch_hi = epoch_of(hi);
-  auto& slot = sessions_[pair_key(lo, hi)];
-  slot = std::move(session);
-  return *slot;
+  // identically from their own tables. The session starts at last_used 0.
+  return install(pairs_[pair_key(lo, hi)], make_session(lo, hi, '@', token));
 }
 
 void LinkTable::invalidate(NodeId node) {
@@ -103,7 +113,8 @@ void LinkTable::invalidate_pair(NodeId a, NodeId b) {
   const NodeId lo = a.value < b.value ? a : b;
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
-  sessions_.erase(pair_key(lo, hi));
+  const auto it = pairs_.find(pair_key(lo, hi));
+  if (it != pairs_.end()) drop(it->second);
   transient_.reset();
 }
 
@@ -111,21 +122,32 @@ void LinkTable::invalidate_session(NodeId a, NodeId b, const LinkSession* expect
   const NodeId lo = a.value < b.value ? a : b;
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(pair_key(lo, hi));
-  if (it != sessions_.end() && it->second.get() == expected) sessions_.erase(it);
+  const auto it = pairs_.find(pair_key(lo, hi));
+  if (it != pairs_.end() && it->second.session.get() == expected) drop(it->second);
 }
 
 void LinkTable::retire_idle(std::uint64_t round, std::uint64_t max_idle) {
   const std::lock_guard<std::mutex> lock(mu_);
-  // raptee-lint: allow(no-unordered-iteration) pure filter; which sessions retire depends only on per-session round stamps, not visit order
-  std::erase_if(sessions_, [&](const auto& entry) {
-    return entry.second->last_used + max_idle < round;
-  });
+  // A session retires when last_used + max_idle < round; none can while
+  // the lower bound on last_used is that recent.
+  if (round <= max_idle || min_last_used_ >= round - max_idle) return;
+  const std::uint64_t oldest_kept = round - max_idle;
+  std::uint64_t bound = std::numeric_limits<std::uint64_t>::max();
+  // raptee-lint: allow(no-unordered-iteration) pure filter and a min; which sessions retire depends only on per-session round stamps, not visit order
+  for (auto& [key, entry] : pairs_) {
+    if (!entry.session) continue;
+    if (entry.session->last_used < oldest_kept) {
+      drop(entry);
+    } else {
+      bound = std::min(bound, entry.session->last_used);
+    }
+  }
+  min_last_used_ = bound;
 }
 
 std::size_t LinkTable::active_sessions() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
+  return active_;
 }
 
 std::uint64_t LinkTable::derivations() const {

@@ -4,8 +4,8 @@
 // deployment: two nodes run one key agreement, then amortize the derived
 // cipher state over every exchange they perform. The simulator used to
 // model the opposite — a fresh label allocation, HKDF derivation and two
-// DuplexLink constructions for every exchange of every round — which made
-// the encrypted exchange phase the hottest allocation site in the engine.
+// cipher constructions for every exchange of every round — which made the
+// encrypted exchange phase the hottest allocation site in the engine.
 //
 // LinkTable caches exactly one LinkSession per unordered node pair:
 //
@@ -19,7 +19,24 @@
 //     (invalidate(node)) and on AEAD failure (invalidate_pair), exactly as
 //     a deployed endpoint would rekey after a crash or an integrity alarm.
 //   * retire_idle(round, max_idle) bounds memory on large populations:
-//     pairs that stopped exchanging are dropped and re-derive on next use.
+//     pairs that stopped exchanging drop their session and re-derive on
+//     next use. The table keeps a lower bound on every cached session's
+//     last use, so a call returns at once while nothing can be idle.
+//
+// Cost of an establishment: 18 SHA-256 compressions, two AES-256 key
+// expansions and one heap allocation (the LinkSession; a pair's first
+// establishment also allocates its table entry). The table holds
+// the master key after HKDF-Extract, so the session secret is one expand
+// (2 compressions); the session extracts that secret once (4) and expands
+// the four enc/mac direction subkeys from it (4 × 2), and the two MAC
+// subkeys get their HMAC key schedules (4). Keys are byte-identical to
+// running a full HKDF per key.
+//
+// One entry per pair: the table maps each unordered pair to its
+// establishment counter and its cached session. Retirement and
+// invalidation drop the session but keep the entry, because the counter
+// must survive them; entries therefore persist for every pair ever seen,
+// one small hash node each.
 //
 // Determinism: the table draws no simulation randomness — session keys are
 // a pure function of (master key, pair, establishment index) — so caching
@@ -54,6 +71,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -73,7 +91,8 @@ namespace raptee::wire {
 /// endpoints each hold their own equal-keyed copy and use the send counter
 /// of one direction and the receive counter of the other.)
 struct LinkSession {
-  LinkSession(const crypto::SymmetricKey& secret, NodeId lo)
+  /// Both directions expand their subkeys from the one extracted secret.
+  LinkSession(const crypto::HkdfPrk& secret, NodeId lo)
       : lo_to_hi(secret, 0), hi_to_lo(secret, 1), lo_(lo) {}
 
   /// The channel that transmits from `from` (one of the pair's endpoints).
@@ -127,7 +146,8 @@ class LinkTable {
   void invalidate_session(NodeId a, NodeId b, const LinkSession* expected);
 
   /// Drops sessions not used for more than `max_idle` rounds, bounding
-  /// memory to the working set of actively exchanging pairs.
+  /// memory to the working set of actively exchanging pairs. Returns
+  /// without scanning while no cached session can be that old.
   void retire_idle(std::uint64_t round, std::uint64_t max_idle);
 
   /// Cached sessions currently held (excludes the transient scratch).
@@ -137,19 +157,34 @@ class LinkTable {
   [[nodiscard]] std::uint64_t derivations() const;
 
  private:
-  [[nodiscard]] std::unique_ptr<LinkSession> make_session(NodeId lo, NodeId hi);
+  /// A pair's establishment counter (never reset — uniquifies keystreams
+  /// across re-establishments and keeps independent endpoint tables in
+  /// agreement; see the distributed-agreement note) and its cached
+  /// session, null once retired or invalidated. unique_ptr pins each
+  /// session so references stay valid across rehashes (part of the
+  /// concurrency contract).
+  struct PairEntry {
+    std::uint32_t establishments = 0;
+    std::unique_ptr<LinkSession> session;
+  };
+
+  /// Derives the session labelled "link-<lo>-<hi><sep><n>".
+  [[nodiscard]] std::unique_ptr<LinkSession> make_session(NodeId lo, NodeId hi, char sep,
+                                                          std::uint64_t n);
+  /// Caches `session` as the pair's session, replacing any previous one.
+  LinkSession& install(PairEntry& entry, std::unique_ptr<LinkSession> session);
+  void drop(PairEntry& entry);
   [[nodiscard]] std::uint32_t epoch_of(NodeId node) const;
 
-  crypto::SymmetricKey master_;
+  crypto::HkdfPrk master_;  // the master key after HKDF-Extract
   bool cache_;
   mutable std::mutex mu_;
-  /// key: lo << 32 | hi. unique_ptr pins each session so references stay
-  /// valid across rehashes (part of the concurrency contract).
-  std::unordered_map<std::uint64_t, std::unique_ptr<LinkSession>> sessions_;
-  /// Per-pair establishment counters (never reset — uniquify keystreams
-  /// across re-establishments and keep independent endpoint tables in
-  /// agreement; see the distributed-agreement note).
-  std::unordered_map<std::uint64_t, std::uint32_t> establishments_;
+  std::unordered_map<std::uint64_t, PairEntry> pairs_;  // key: lo << 32 | hi
+  std::size_t active_ = 0;  // entries holding a session
+  /// At most the smallest last_used of any cached session (max when none):
+  /// recomputed by each retire_idle scan, lowered wherever a session's
+  /// last_used is set.
+  std::uint64_t min_last_used_ = std::numeric_limits<std::uint64_t>::max();
   std::vector<std::uint32_t> epochs_;  // per-node invalidation epochs
   std::uint64_t derivations_ = 0;
   std::unique_ptr<LinkSession> transient_;  // cache == false scratch

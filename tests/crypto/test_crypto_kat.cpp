@@ -7,7 +7,9 @@
 // bytes: trust decisions stay equal even when tokens change.
 //
 // Every expected string was recorded with the portable textbook code
-// (before hardware dispatch and HMAC midstate caching existed).
+// (before hardware dispatch and HMAC midstate caching existed), except the
+// link-table frames and the long derive label, which were recorded with
+// one full HKDF per key (before the extracted PRKs were cached).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "sgx/attestation.hpp"
 #include "sgx/enclave.hpp"
 #include "wire/link_cipher.hpp"
+#include "wire/link_session.hpp"
 
 namespace raptee {
 namespace {
@@ -83,14 +86,24 @@ TEST(CryptoKat, DrbgForkStreams) {
 
 TEST(CryptoKat, SymmetricKeyDerive) {
   const crypto::SymmetricKey key = counting_key(1, 0);
-  EXPECT_EQ(hex(key.derive("raptee-link-enc-0").bytes()),
-            "e32fa848a64c68c2473c89ec791553ebd4295fda50b3a67d92945ad743e6ee8e");
-  EXPECT_EQ(hex(key.derive("link-3-17#1").bytes()),
-            "a34d5a026f4137e8f4298c1b42eab199d49a7a4f6e8b06c5fdd531b75bc477e4");
-  EXPECT_EQ(hex(key.derive("link-4294967295-4294967295@18446744073709551615").bytes()),
-            "f40d0784853aade21d84a6f0e0a0b7b332244a61e118378bf4868d2bd3b37716");
-  EXPECT_EQ(hex(key.derive("").bytes()),
-            "37ad29109f43265287804b674e2653d0a513718907f97fca97c95bded8104bbf");
+  const crypto::HkdfPrk prk(key);
+  const struct {
+    const char* label;
+    const char* okm;
+  } cases[] = {
+      {"raptee-link-enc-0", "e32fa848a64c68c2473c89ec791553ebd4295fda50b3a67d92945ad743e6ee8e"},
+      {"link-3-17#1", "a34d5a026f4137e8f4298c1b42eab199d49a7a4f6e8b06c5fdd531b75bc477e4"},
+      {"link-4294967295-4294967295@18446744073709551615",
+       "f40d0784853aade21d84a6f0e0a0b7b332244a61e118378bf4868d2bd3b37716"},
+      {"", "37ad29109f43265287804b674e2653d0a513718907f97fca97c95bded8104bbf"},
+      // info + counter spans two blocks of the expand's inner hash
+      {"raptee-kat-a-label-longer-than-one-sha256-block-of-inner-input-x",
+       "15d1d442ec7f5a943f59f952e31c046ecabadf682b32d7a735887702d99e0907"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(hex(key.derive(c.label).bytes()), c.okm) << c.label;
+    EXPECT_EQ(hex(prk.derive(c.label).bytes()), c.okm) << "HkdfPrk " << c.label;
+  }
   EXPECT_EQ(key.fingerprint(), 7137586562153591654ull);
 }
 
@@ -149,6 +162,62 @@ TEST(CryptoKat, LinkCipherFramesDirection1) {
                     "6d47628f2de3d074e127662331e155828280ccc3e522e93057988c5a722f88eb"
                     "028adb74040b9ffd7ad556f375a261f8593cf19baf016aaedb634c76ba7bee5d"
                     "ee6e982d5a6877fe4dab4a9bc545"});
+}
+
+/// One frame sealed on `session`'s channel from `from`.
+std::string seal_hex(wire::LinkSession& session, NodeId from, std::size_t len,
+                     std::uint8_t salt) {
+  const auto pt = kat_plaintext(len, salt);
+  std::vector<std::uint8_t> frame;
+  session.channel_from(from).seal_into(pt.data(), pt.size(), frame);
+  return hex(frame);
+}
+
+const NodeId kKatLo{3};
+const NodeId kKatHi{17};
+const NodeId kKatMax{4294967295u};
+
+TEST(CryptoKat, LinkTableSessionFrames) {
+  wire::LinkTable table(counting_key(11, 3));
+  // First use: establishment #1 of each pair, both directions.
+  EXPECT_EQ(seal_hex(table.session(kKatHi, kKatLo, 0), kKatLo, 5, 1),
+            "00000000000000003d8151308e372aaa253ca172c663f06a2a749d65a3e4305c"
+            "fdf5f18886a3e3f73dc38339d4");
+  EXPECT_EQ(seal_hex(table.session(kKatLo, kKatHi, 1), kKatHi, 16, 2),
+            "000000000000000023018ff17dd9ccaa86077cf749f072fa7809d534ad6252cb"
+            "dea14344431779e08cc2208b2650d9566abdf21bd0dfa90d");
+  EXPECT_EQ(seal_hex(table.session(kKatLo, kKatMax, 1), kKatMax, 0, 3),
+            "0000000000000000783633c3b5107e5deb7960a406ddd6c847e65344e9f6e05d"
+            "3ed0f6524552c4dc");
+  EXPECT_EQ(seal_hex(table.session(kKatLo, kKatHi, 1), kKatLo, 1, 4),
+            "0100000000000000937778205a8530665c5974d241022448bb3440da7d229343"
+            "9b2a9708b4cdf16880");
+  // After invalidate(node): establishment #2 of both of the node's pairs.
+  table.invalidate(kKatLo);
+  EXPECT_EQ(seal_hex(table.session(kKatLo, kKatHi, 2), kKatLo, 5, 1),
+            "0000000000000000f5d97554e8aa867f83cdb535d770e91a21abfd296f2ad78f"
+            "6866a73786fd0d50d531b345f2");
+  EXPECT_EQ(seal_hex(table.session(kKatMax, kKatLo, 2), kKatLo, 0, 3),
+            "0000000000000000b8e675937b5d21842d6296f4b91e192cfc789726cc6d5598"
+            "2e54de83b305b46a");
+  EXPECT_EQ(table.derivations(), 4u);
+}
+
+TEST(CryptoKat, LinkTableEstablishFrames) {
+  wire::LinkTable table(counting_key(11, 3));
+  EXPECT_EQ(seal_hex(table.establish(kKatHi, kKatLo, 0xA11CE), kKatLo, 5, 5),
+            "0000000000000000d7253b538b165066b4a8569ad63e68815a0b34c5c0087b2c"
+            "7d61c4174cf0c22c58436dcd7f");
+  // session() returns the established session, not a counter-labelled one.
+  EXPECT_EQ(seal_hex(table.session(kKatLo, kKatHi, 0), kKatHi, 16, 6),
+            "000000000000000067f24ce4bfb30dc12e18ee789e7001091c74abb71b9751f2"
+            "cbef3e5416f80b8e9b487d98757d9b00e5dc36ce2ca3d2ab");
+  EXPECT_EQ(seal_hex(table.establish(NodeId{0}, kKatMax, ~0ull), kKatMax, 1, 7),
+            "000000000000000083ace7fb4eb3fe52f5d3e5598fe4a9d35ae8f86840cc3aad"
+            "34ec0c2ad94b1e9f85");
+  EXPECT_EQ(seal_hex(table.establish(kKatLo, kKatHi, 0xA11CF), kKatLo, 5, 5),
+            "0000000000000000c87c2ea07e992f129ff3edb9342ec4166c4e16f0545f8103"
+            "1205b79a34c756f90ec9cb9311");
 }
 
 struct Handshake {

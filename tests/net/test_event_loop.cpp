@@ -4,7 +4,7 @@
 // relies on).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -17,12 +17,14 @@
 namespace raptee::net {
 namespace {
 
+/// A connected socket pair used one way, like a pipe: write_some is the
+/// socket send wrapper.
 struct Pipe {
   Fd read_end;
   Fd write_end;
   Pipe() {
     int ends[2];
-    EXPECT_EQ(::pipe(ends), 0);
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
     set_nonblocking(ends[0]);
     set_nonblocking(ends[1]);
     read_end = Fd(ends[0]);

@@ -1,11 +1,17 @@
 // wire::LinkTable contract: one persistent session per unordered pair with
 // sequence-number continuity across exchanges, O(1) invalidation on churn
-// with fresh keys on re-establishment, idle retirement, and the transient
-// per-exchange baseline mode used by bench/scale_links.
+// with fresh keys on re-establishment, idle retirement (checked against a
+// brute-force model), and the transient per-exchange baseline mode used by
+// bench/scale_links.
 #include "wire/link_session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
+#include "common/rng.hpp"
 #include "crypto/key.hpp"
 
 namespace raptee::wire {
@@ -70,6 +76,19 @@ TEST(LinkTable, ChannelsAreDirectional) {
   LinkSession& session = table.session(kA, kB, 0);
   EXPECT_NE(&session.channel_from(kA), &session.channel_from(kB));
 
+  // Two endpoints holding equal-keyed copies: each direction's frame opens
+  // on the peer's copy of the same channel (tx -> rx both ways).
+  LinkTable peer_table(master());
+  LinkSession& peer = peer_table.session(kB, kA, 0);
+  const std::vector<std::uint8_t> ping{'p', 'i', 'n', 'g'};
+  const std::vector<std::uint8_t> pong{'p', 'o', 'n', 'g'};
+  auto opened = peer.channel_from(kA).open(session.channel_from(kA).seal(ping));
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, ping);
+  opened = session.channel_from(kB).open(peer.channel_from(kB).seal(pong));
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, pong);
+
   // A frame sealed on the A->B channel must not open on B->A (distinct
   // direction subkeys — no keystream reuse across the duplex pair).
   const auto frame = session.channel_from(kA).seal({9, 9, 9});
@@ -118,6 +137,123 @@ TEST(LinkTable, RetireIdleDropsOnlyStaleSessions) {
   EXPECT_EQ(table.derivations(), 2u) << "recently used pair survives";
   (void)table.session(kA, kB, 100);
   EXPECT_EQ(table.derivations(), 3u) << "retired pair re-derives";
+}
+
+TEST(LinkTable, RetireIdleSeesSessionsEstablishedAfterAScan) {
+  LinkTable table(master());
+  (void)table.session(kA, kB, 10);
+  (void)table.session(kA, kC, 0);
+  table.retire_idle(10, 2);  // scans: retires {A, C}, the oldest is now 10
+  EXPECT_EQ(table.active_sessions(), 1u);
+  // A token-established session starts at last_used 0, below that bound.
+  (void)table.establish(kB, kC, 77);
+  EXPECT_EQ(table.active_sessions(), 2u);
+  table.retire_idle(13, 3);
+  EXPECT_EQ(table.active_sessions(), 1u) << "the established session is idle";
+  (void)table.session(kA, kB, 13);
+  EXPECT_EQ(table.derivations(), 3u) << "{A, B} was used at 10 and survives";
+}
+
+/// Brute-force model of the table's cache state: which pairs hold a
+/// session, when each was last used, the endpoint epochs it was made at.
+class TableModel {
+ public:
+  struct Cached {
+    std::uint64_t last_used;
+    std::uint32_t epoch_lo;
+    std::uint32_t epoch_hi;
+  };
+
+  /// Returns true when the call establishes (derives) a session.
+  bool session(std::uint32_t a, std::uint32_t b, std::uint64_t round) {
+    const auto key = ordered(a, b);
+    const auto it = cached_.find(key);
+    if (it != cached_.end() && it->second.epoch_lo == epochs_[key.first] &&
+        it->second.epoch_hi == epochs_[key.second]) {
+      it->second.last_used = round;
+      return false;
+    }
+    cached_[key] = {round, epochs_[key.first], epochs_[key.second]};
+    return true;
+  }
+  void establish(std::uint32_t a, std::uint32_t b) {
+    const auto key = ordered(a, b);
+    cached_[key] = {0, epochs_[key.first], epochs_[key.second]};
+  }
+  void invalidate(std::uint32_t node) { ++epochs_[node]; }
+  void invalidate_pair(std::uint32_t a, std::uint32_t b) { cached_.erase(ordered(a, b)); }
+  void retire_idle(std::uint64_t round, std::uint64_t max_idle) {
+    std::erase_if(cached_, [&](const auto& entry) {
+      return entry.second.last_used + max_idle < round;
+    });
+  }
+  [[nodiscard]] std::size_t active() const { return cached_.size(); }
+
+ private:
+  static std::pair<std::uint32_t, std::uint32_t> ordered(std::uint32_t a, std::uint32_t b) {
+    return {std::min(a, b), std::max(a, b)};
+  }
+
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Cached> cached_;
+  std::map<std::uint32_t, std::uint32_t> epochs_;
+};
+
+TEST(LinkTable, RetireIdleMatchesBruteForceModel) {
+  constexpr std::uint32_t kNodes = 6;
+  const std::uint64_t max_idles[] = {0, 1, 2, 3, 5, 64};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    LinkTable table(master());
+    TableModel model;
+    std::uint64_t derivations = 0;
+    std::uint64_t round = 0;
+    const auto pick_pair = [&] {
+      const auto a = static_cast<std::uint32_t>(rng.below(kNodes));
+      auto b = static_cast<std::uint32_t>(rng.below(kNodes - 1));
+      if (b >= a) ++b;
+      return std::pair{NodeId{a}, NodeId{b}};
+    };
+    for (int op = 0; op < 150; ++op) {
+      const std::uint64_t dice = rng.below(100);
+      if (dice < 50) {
+        round += rng.below(3);  // session hits at rising rounds
+        const auto [a, b] = pick_pair();
+        (void)table.session(a, b, round);
+        if (model.session(a.value, b.value, round)) ++derivations;
+      } else if (dice < 60) {
+        const auto [a, b] = pick_pair();
+        (void)table.establish(a, b, rng.next());
+        model.establish(a.value, b.value);
+        ++derivations;
+      } else if (dice < 66) {
+        const auto node = static_cast<std::uint32_t>(rng.below(kNodes));
+        table.invalidate(NodeId{node});
+        model.invalidate(node);
+      } else if (dice < 72) {
+        const auto [a, b] = pick_pair();
+        table.invalidate_pair(a, b);
+        model.invalidate_pair(a.value, b.value);
+      } else {
+        const std::uint64_t max_idle = max_idles[rng.below(std::size(max_idles))];
+        const std::uint64_t at = round + rng.below(8);
+        table.retire_idle(at, max_idle);
+        model.retire_idle(at, max_idle);
+      }
+      ASSERT_EQ(table.active_sessions(), model.active()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(table.derivations(), derivations) << "seed " << seed << " op " << op;
+    }
+    // Re-touch every pair: exactly the pairs the model still holds with
+    // current epochs stay cached (no derivation).
+    ++round;
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = a + 1; b < kNodes; ++b) {
+        (void)table.session(NodeId{a}, NodeId{b}, round);
+        if (model.session(a, b, round)) ++derivations;
+        ASSERT_EQ(table.derivations(), derivations)
+            << "seed " << seed << " pair " << a << "-" << b;
+      }
+    }
+  }
 }
 
 TEST(LinkTable, TransientModeEstablishesPerCall) {
